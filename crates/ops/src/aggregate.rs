@@ -22,8 +22,12 @@
 //!   provided the aggregate exposes an associative, commutative
 //!   [`AggregateFn::combine`].
 //!
-//! Both emit byte-identical output for exact (integer-like) aggregates;
-//! the default [`AggStrategy::Auto`] starts naive and converts once an
+//! Both emit byte-identical output for every aggregate whose `combine`
+//! is exact. All combinable built-ins are: float sums and averages
+//! accumulate into an [`ExactSum`], whose correctly rounded value does not
+//! depend on how the tree grouped the summands.
+//!
+//! The default [`AggStrategy::Auto`] starts naive and converts once an
 //! insert is observed covering [`TREE_CONVERT_WIDTH`] partials, so narrow
 //! windows never pay the tree's bookkeeping.
 //!
@@ -51,10 +55,12 @@ use std::marker::PhantomData;
 /// instead of re-adding individual payloads. `combine` must be associative
 /// and commutative with respect to `add` — for accumulators built from any
 /// payload partition, merging them in any order must equal accumulating all
-/// payloads into one accumulator. All combinable built-ins (count, sum,
-/// avg, min, max) satisfy this; [`StatsAgg`] deliberately does not claim it
-/// because merging Welford states rounds differently than sequential
-/// observation.
+/// payloads into one accumulator, bit for bit. All combinable built-ins
+/// (count, sum, avg, min, max) satisfy this; sum and avg only because they
+/// add into an [`ExactSum`] — plain `f64` addition rounds differently per
+/// grouping, so a float `combine` built on `+` breaks the contract.
+/// [`StatsAgg`] deliberately does not claim it because merging Welford
+/// states rounds differently than sequential observation.
 pub trait AggregateFn<T>: Send + 'static {
     /// Accumulator state.
     type Acc: Clone + Send + 'static;
@@ -633,56 +639,230 @@ impl<T> AggregateFn<T> for CountAgg {
     }
 }
 
-/// Sums a numeric projection of the payload.
+/// Partials an [`ExactSum`] keeps without allocating. Summands within a
+/// few binary orders of magnitude of each other need two or three.
+const INLINE_PARTS: usize = 3;
+
+/// An exact floating-point sum: Shewchuk's expansion of non-overlapping
+/// partials with a correctly rounded read-out, as in Python's
+/// `math.fsum`.
+///
+/// The expansion represents the exact real sum of every finite summand, so
+/// [`value`](ExactSum::value) — that sum rounded to the nearest `f64`, ties
+/// to even — does not depend on the order or grouping of
+/// [`add`](ExactSum::add) and [`merge`](ExactSum::merge) calls. This is what
+/// makes float sums and averages combinable: the partial-aggregate tree and
+/// the naive fold emit identical bits however the input was cut into runs.
+///
+/// A non-finite summand makes the sum `±inf` or NaN (opposite infinities
+/// give NaN), also independent of order. A zero sum reads out as `+0.0`.
+/// Only a partial overflowing `f64::MAX`, which summands near the top of
+/// the range can cause, saturates to `±inf` in an order-dependent way.
+#[derive(Clone, Debug, Default)]
+pub struct ExactSum(Parts);
+
+#[derive(Clone, Debug)]
+enum Parts {
+    /// Non-zero, non-overlapping partials in increasing magnitude: the
+    /// first `n` of the array.
+    Inline(u8, [f64; INLINE_PARTS]),
+    /// The same, once more than [`INLINE_PARTS`] are needed.
+    Spilled(Vec<f64>),
+    /// A non-finite summand was seen, or a partial overflowed; the sum is
+    /// this value.
+    NonFinite(f64),
+}
+
+impl Default for Parts {
+    fn default() -> Self {
+        Parts::Inline(0, [0.0; INLINE_PARTS])
+    }
+}
+
+/// Adds `x` into the expansion `p` by error-free two-sums from the
+/// smallest partial up. Returns how many leading slots of `p` now hold the
+/// non-zero low parts, and the carried high part.
+fn grow(p: &mut [f64], mut x: f64) -> (usize, f64) {
+    let mut kept = 0;
+    for j in 0..p.len() {
+        let mut y = p[j];
+        if x.abs() < y.abs() {
+            std::mem::swap(&mut x, &mut y);
+        }
+        let hi = x + y;
+        let lo = y - (hi - x);
+        if lo != 0.0 {
+            p[kept] = lo;
+            kept += 1;
+        }
+        x = hi;
+    }
+    (kept, x)
+}
+
+impl ExactSum {
+    /// The empty sum.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The sum of one summand.
+    pub fn of(x: f64) -> Self {
+        let mut s = Self::new();
+        s.add(x);
+        s
+    }
+
+    fn parts(&self) -> &[f64] {
+        match &self.0 {
+            Parts::Inline(n, p) => &p[..*n as usize],
+            Parts::Spilled(p) => p,
+            Parts::NonFinite(_) => &[],
+        }
+    }
+
+    /// Adds one summand exactly.
+    pub fn add(&mut self, x: f64) {
+        if !x.is_finite() {
+            return self.add_non_finite(x);
+        }
+        let (kept, hi) = match &mut self.0 {
+            Parts::Inline(n, p) => grow(&mut p[..*n as usize], x),
+            Parts::Spilled(p) => grow(p, x),
+            Parts::NonFinite(_) => return,
+        };
+        if !hi.is_finite() {
+            self.0 = Parts::NonFinite(hi);
+            return;
+        }
+        let keep_hi = hi != 0.0;
+        match &mut self.0 {
+            Parts::Inline(n, p) if !keep_hi || kept < INLINE_PARTS => {
+                if keep_hi {
+                    p[kept] = hi;
+                }
+                *n = (kept + keep_hi as usize) as u8;
+            }
+            Parts::Inline(_, p) => {
+                let mut v = Vec::with_capacity(2 * INLINE_PARTS);
+                v.extend_from_slice(&p[..kept]);
+                v.push(hi);
+                self.0 = Parts::Spilled(v);
+            }
+            Parts::Spilled(v) => {
+                v.truncate(kept);
+                if keep_hi {
+                    v.push(hi);
+                }
+            }
+            Parts::NonFinite(_) => {}
+        }
+    }
+
+    fn add_non_finite(&mut self, x: f64) {
+        let sum = match self.0 {
+            Parts::NonFinite(s) => s + x,
+            _ => x,
+        };
+        // NaN payloads follow operand order; keep one canonical NaN.
+        self.0 = Parts::NonFinite(if sum.is_nan() { f64::NAN } else { sum });
+    }
+
+    /// Adds another sum exactly.
+    pub fn merge(&mut self, other: &ExactSum) {
+        match other.0 {
+            Parts::NonFinite(s) => self.add_non_finite(s),
+            _ => other.parts().iter().for_each(|&x| self.add(x)),
+        }
+    }
+
+    /// The exact sum, correctly rounded to `f64`.
+    pub fn value(&self) -> f64 {
+        if let Parts::NonFinite(s) = self.0 {
+            return s;
+        }
+        // Sum from the largest partial down until a step is inexact, then
+        // correct a half-way case that the remaining partials break.
+        let p = self.parts();
+        let Some(&top) = p.last() else {
+            return 0.0;
+        };
+        let (mut hi, mut lo, mut n) = (top, 0.0, p.len() - 1);
+        while n > 0 {
+            n -= 1;
+            let (x, y) = (hi, p[n]);
+            hi = x + y;
+            lo = y - (hi - x);
+            if lo != 0.0 {
+                break;
+            }
+        }
+        if n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0)) {
+            let y = lo * 2.0;
+            let x = hi + y;
+            if y == x - hi {
+                hi = x;
+            }
+        }
+        hi
+    }
+}
+
+/// Sums a numeric projection of the payload, exactly (see [`ExactSum`]).
 pub struct SumAgg<F>(pub F);
 
 impl<T, F> AggregateFn<T> for SumAgg<F>
 where
     F: Fn(&T) -> f64 + Send + 'static,
 {
-    type Acc = f64;
+    type Acc = ExactSum;
     type Out = f64;
-    fn init(&self, v: &T) -> f64 {
-        (self.0)(v)
+    fn init(&self, v: &T) -> ExactSum {
+        ExactSum::of((self.0)(v))
     }
-    fn add(&self, acc: &mut f64, v: &T) {
-        *acc += (self.0)(v);
+    fn add(&self, acc: &mut ExactSum, v: &T) {
+        acc.add((self.0)(v));
     }
-    fn finalize(&self, acc: &f64) -> f64 {
-        *acc
+    fn finalize(&self, acc: &ExactSum) -> f64 {
+        acc.value()
     }
     fn combinable(&self) -> bool {
         true
     }
-    fn combine(&self, a: &f64, b: &f64) -> f64 {
-        a + b
+    fn combine(&self, a: &ExactSum, b: &ExactSum) -> ExactSum {
+        let mut s = a.clone();
+        s.merge(b);
+        s
     }
 }
 
-/// Averages a numeric projection of the payload.
+/// Averages a numeric projection of the payload: the exact sum (see
+/// [`ExactSum`]), correctly rounded, divided by the count.
 pub struct AvgAgg<F>(pub F);
 
 impl<T, F> AggregateFn<T> for AvgAgg<F>
 where
     F: Fn(&T) -> f64 + Send + 'static,
 {
-    type Acc = (f64, u64);
+    type Acc = (ExactSum, u64);
     type Out = f64;
-    fn init(&self, v: &T) -> (f64, u64) {
-        ((self.0)(v), 1)
+    fn init(&self, v: &T) -> (ExactSum, u64) {
+        (ExactSum::of((self.0)(v)), 1)
     }
-    fn add(&self, acc: &mut (f64, u64), v: &T) {
-        acc.0 += (self.0)(v);
+    fn add(&self, acc: &mut (ExactSum, u64), v: &T) {
+        acc.0.add((self.0)(v));
         acc.1 += 1;
     }
-    fn finalize(&self, acc: &(f64, u64)) -> f64 {
-        acc.0 / acc.1 as f64
+    fn finalize(&self, acc: &(ExactSum, u64)) -> f64 {
+        acc.0.value() / acc.1 as f64
     }
     fn combinable(&self) -> bool {
         true
     }
-    fn combine(&self, a: &(f64, u64), b: &(f64, u64)) -> (f64, u64) {
-        (a.0 + b.0, a.1 + b.1)
+    fn combine(&self, a: &(ExactSum, u64), b: &(ExactSum, u64)) -> (ExactSum, u64) {
+        let mut s = a.0.clone();
+        s.merge(&b.0);
+        (s, a.1 + b.1)
     }
 }
 
@@ -856,17 +1036,129 @@ mod tests {
     #[test]
     fn count_tree_strategy_matches_naive_exactly() {
         let input: Vec<Element<i64>> = (0..200u64).map(|i| el(i as i64, i, i + 60)).collect();
+        assert_layouts_agree(|| CountAgg, input);
+    }
+
+    /// Non-integer floats in [0, 90) with full mantissas, over windows of
+    /// `width` ticks: the inputs whose plain `f64` sums round differently
+    /// under the tree's grouping than under the naive fold.
+    fn float_input(n: u64, width: u64) -> Vec<Element<f64>> {
+        (0..n)
+            .map(|i| {
+                let x = ((i + 1) as f64 * 0.618_033_988_749_894_9).fract() * 90.0;
+                Element::new(x, iv(i, i + width))
+            })
+            .collect()
+    }
+
+    fn assert_layouts_agree<A, T>(make: impl Fn() -> A, input: Vec<Element<T>>)
+    where
+        T: Clone + Send + 'static,
+        A: AggregateFn<T>,
+        A::Out: PartialEq + std::fmt::Debug,
+    {
         let naive = run_unary_messages(
-            ScalarAggregate::with_strategy(CountAgg, AggStrategy::Naive),
+            ScalarAggregate::with_strategy(make(), AggStrategy::Naive),
             input.clone(),
         );
         let tree = run_unary_messages(
-            ScalarAggregate::with_strategy(CountAgg, AggStrategy::Tree),
+            ScalarAggregate::with_strategy(make(), AggStrategy::Tree),
             input.clone(),
         );
-        let auto = run_unary_messages(ScalarAggregate::new(CountAgg), input);
+        let auto = run_unary_messages(ScalarAggregate::new(make()), input);
         assert_eq!(naive, tree);
         assert_eq!(naive, auto);
+    }
+
+    #[test]
+    fn float_sum_and_avg_tree_strategy_match_naive_exactly() {
+        assert_layouts_agree(|| SumAgg(|v: &f64| *v), float_input(400, 60));
+        assert_layouts_agree(|| AvgAgg(|v: &f64| *v), float_input(400, 60));
+        // Mixed magnitudes and signs stress the expansion beyond two parts.
+        let mixed: Vec<Element<f64>> = float_input(300, 80)
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| e.map(|x| x * [1e-9, -1.0, 1e9, -3e-17][i % 4]))
+            .collect();
+        assert_layouts_agree(|| SumAgg(|v: &f64| *v), mixed);
+    }
+
+    fn exact_sum(xs: &[f64]) -> f64 {
+        let mut s = ExactSum::new();
+        xs.iter().for_each(|&x| s.add(x));
+        s.value()
+    }
+
+    #[test]
+    fn exact_sum_is_correctly_rounded() {
+        assert_eq!(exact_sum(&[0.1; 10]), 1.0);
+        assert_eq!(exact_sum(&[1e16, 1.0, -1e16]), 1.0);
+        // Half-way cases that the partials below the top must break
+        // (from CPython's `math.fsum` tests).
+        let p53 = 2f64.powi(53);
+        assert_eq!(exact_sum(&[p53, -0.5, -2f64.powi(-54)]), p53 - 1.0);
+        assert_eq!(exact_sum(&[p53, 1.0, 2f64.powi(-100)]), p53 + 2.0);
+        assert_eq!(exact_sum(&[p53 + 10.0, 1.0, 2f64.powi(-100)]), p53 + 12.0);
+        assert_eq!(exact_sum(&[p53 - 4.0, 0.5, 2f64.powi(-54)]), p53 - 3.0);
+        // Zero sums read out as +0.0.
+        assert_eq!(exact_sum(&[]).to_bits(), 0f64.to_bits());
+        assert_eq!(exact_sum(&[-0.0]).to_bits(), 0f64.to_bits());
+        assert_eq!(exact_sum(&[2.5, -2.5]).to_bits(), 0f64.to_bits());
+    }
+
+    #[test]
+    fn exact_sum_ignores_order_and_grouping() {
+        let xs: Vec<f64> = float_input(500, 1)
+            .iter()
+            .enumerate()
+            .map(|(i, e)| e.payload * [1.0, -1e-12, 3e12, -7.0][i % 4])
+            .collect();
+        let forward = exact_sum(&xs);
+        let reversed: Vec<f64> = xs.iter().rev().copied().collect();
+        assert_eq!(forward.to_bits(), exact_sum(&reversed).to_bits());
+        for cut in [1, 17, 250, 499] {
+            let (mut a, mut b) = (ExactSum::new(), ExactSum::new());
+            xs[..cut].iter().for_each(|&x| a.add(x));
+            xs[cut..].iter().for_each(|&x| b.add(x));
+            let mut ab = a.clone();
+            ab.merge(&b);
+            b.merge(&a);
+            assert_eq!(ab.value().to_bits(), forward.to_bits());
+            assert_eq!(b.value().to_bits(), forward.to_bits());
+        }
+    }
+
+    #[test]
+    fn exact_sum_stays_inline_for_common_inputs_and_spills_beyond() {
+        let mut common = ExactSum::new();
+        float_input(5000, 1)
+            .iter()
+            .for_each(|e| common.add(e.payload));
+        assert!(matches!(common.0, Parts::Inline(..)), "{common:?}");
+        // Interval splits clone accumulators: keep the sum a small value.
+        assert!(std::mem::size_of::<ExactSum>() <= 32);
+
+        // Five non-overlapping magnitudes need five parts.
+        let spread: Vec<f64> = (0..5).map(|k| 2f64.powi(-60 * k)).collect();
+        let mut s = ExactSum::new();
+        spread.iter().for_each(|&x| s.add(x));
+        assert!(matches!(s.0, Parts::Spilled(_)), "{s:?}");
+        assert_eq!(s.value(), 1.0);
+        s.add(-1.0);
+        assert_eq!(s.value(), 2f64.powi(-60));
+    }
+
+    #[test]
+    fn exact_sum_non_finite_summands() {
+        assert_eq!(exact_sum(&[1.0, f64::INFINITY, 2.0]), f64::INFINITY);
+        assert_eq!(exact_sum(&[f64::NEG_INFINITY, 1.0]), f64::NEG_INFINITY);
+        assert!(exact_sum(&[f64::INFINITY, 1.0, f64::NEG_INFINITY]).is_nan());
+        assert!(exact_sum(&[f64::NAN, 1.0]).is_nan());
+        let mut a = ExactSum::of(f64::INFINITY);
+        a.merge(&ExactSum::of(3.0));
+        assert_eq!(a.value(), f64::INFINITY);
+        a.merge(&ExactSum::of(f64::NEG_INFINITY));
+        assert_eq!(a.value().to_bits(), f64::NAN.to_bits());
     }
 
     #[test]

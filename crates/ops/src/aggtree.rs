@@ -23,8 +23,8 @@
 //! Because combining happens in canonical `(end, seq)`-ascending order
 //! rather than arrival order, the aggregate's `combine` must be associative
 //! and commutative for results to equal the naive scan's. All combinable
-//! built-ins satisfy this exactly (integer count, min/max; floating-point
-//! sums may differ in rounding from the naive fold order).
+//! built-ins satisfy this exactly: count and min/max trivially, float sums
+//! and averages through [`crate::aggregate::ExactSum`].
 //!
 //! The slot structure (splits at element endpoints, one slot per maximal
 //! gap, watermark splits on flush) mirrors the naive table's evolution

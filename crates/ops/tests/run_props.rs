@@ -15,7 +15,7 @@
 
 use pipes_graph::run::coalesce_adjacent_heartbeats;
 use pipes_graph::{BinaryOperator, Operator};
-use pipes_ops::aggregate::{CountAgg, ScalarAggregate, SumAgg};
+use pipes_ops::aggregate::{AggStrategy, AvgAgg, CountAgg, ScalarAggregate, SumAgg};
 use pipes_ops::drive::{BinaryElementWise, ElementWise};
 use pipes_ops::{Filter, FlatMap, GroupedAggregate, Map, RippleJoin};
 use pipes_time::{Element, Message, TimeInterval, Timestamp};
@@ -25,11 +25,16 @@ use proptest::prelude::*;
 /// bursts sharing one interval (so grouped run paths see multi-element
 /// groups), heartbeats are optionally emitted (and sometimes duplicated,
 /// to exercise heartbeat coalescing) at burst starts, and the trace ends
-/// with a horizon heartbeat.
-fn arb_trace(max_bursts: usize) -> impl Strategy<Value = Vec<Message<i64>>> {
+/// with a horizon heartbeat. Each burst draws one payload and `vary`
+/// derives the burst's `k`-th element from it.
+fn arb_trace_of<P: Clone + std::fmt::Debug>(
+    payload: impl Strategy<Value = P>,
+    vary: fn(&P, usize) -> P,
+    max_bursts: usize,
+) -> impl Strategy<Value = Vec<Message<P>>> {
     prop::collection::vec(
         (
-            0i64..5,
+            payload,
             0u64..40,
             1u64..20,
             1usize..4,
@@ -38,15 +43,13 @@ fn arb_trace(max_bursts: usize) -> impl Strategy<Value = Vec<Message<i64>>> {
         ),
         0..max_bursts,
     )
-    .prop_map(|mut bursts| {
-        bursts.sort_by_key(|&(_, s, ..)| s);
-        let mut msgs: Vec<Message<i64>> = Vec::new();
+    .prop_map(move |mut bursts| {
+        bursts.sort_by_key(|(_, s, ..)| *s);
+        let mut msgs: Vec<Message<P>> = Vec::new();
         for (p, s, len, n, hb, dup) in bursts {
             let iv = TimeInterval::new(Timestamp::new(s), Timestamp::new(s + len));
             for k in 0..n {
-                // Vary the payload within a burst so grouped operators see
-                // both single- and multi-element adjacent groups.
-                msgs.push(Message::Element(Element::new(p + (k % 2) as i64, iv)));
+                msgs.push(Message::Element(Element::new(vary(&p, k), iv)));
             }
             if hb {
                 msgs.push(Message::Heartbeat(Timestamp::new(s)));
@@ -58,6 +61,18 @@ fn arb_trace(max_bursts: usize) -> impl Strategy<Value = Vec<Message<i64>>> {
         msgs.push(Message::Heartbeat(Timestamp::MAX));
         msgs
     })
+}
+
+/// An integer trace. The payload alternates within a burst so grouped
+/// operators see both single- and multi-element adjacent groups.
+fn arb_trace(max_bursts: usize) -> impl Strategy<Value = Vec<Message<i64>>> {
+    arb_trace_of(0i64..5, |p, k| p + (k % 2) as i64, max_bursts)
+}
+
+/// A trace of non-integer floats, whose sums round differently under
+/// different groupings unless summed exactly.
+fn arb_float_trace(max_bursts: usize) -> impl Strategy<Value = Vec<Message<f64>>> {
+    arb_trace_of(0.0f64..90.0, |p, k| p * (1.0 + k as f64 / 3.0), max_bursts)
 }
 
 /// Random run-boundary pattern: chunk sizes cycled over the trace.
@@ -185,18 +200,33 @@ proptest! {
     }
 
     #[test]
-    fn scalar_aggregate_on_run_matches_per_message(msgs in arb_trace(16), cuts in arb_cuts()) {
-        let native = feed_runs(ScalarAggregate::new(SumAgg(|v: &i64| *v as f64)), &msgs, &cuts);
-        let baseline = feed_runs(
-            ElementWise(ScalarAggregate::new(SumAgg(|v: &i64| *v as f64))),
-            &msgs,
-            &cuts,
-        );
-        prop_assert_eq!(native, baseline);
+    fn scalar_aggregate_on_run_matches_per_message(
+        ints in arb_trace(16),
+        floats in arb_float_trace(16),
+        cuts in arb_cuts(),
+    ) {
+        // On the tree, the run path inserts a burst as one range and the
+        // baseline one range per element: non-integer floats show any
+        // sum whose rounding depends on that grouping.
+        let ints: Vec<Message<f64>> = ints.into_iter().map(|m| m.map(|v| v as f64)).collect();
+        for msgs in [ints, floats] {
+            for strategy in [AggStrategy::Auto, AggStrategy::Tree] {
+                let sum = || ScalarAggregate::with_strategy(SumAgg(|v: &f64| *v), strategy);
+                let native = feed_runs(sum(), &msgs, &cuts);
+                prop_assert_eq!(native, feed_runs(ElementWise(sum()), &msgs, &cuts));
+                let avg = || ScalarAggregate::with_strategy(AvgAgg(|v: &f64| *v), strategy);
+                let native = feed_runs(avg(), &msgs, &cuts);
+                prop_assert_eq!(native, feed_runs(ElementWise(avg()), &msgs, &cuts));
+            }
+        }
     }
 
     #[test]
-    fn grouped_aggregate_on_run_matches_per_message(msgs in arb_trace(16), cuts in arb_cuts()) {
+    fn grouped_aggregate_on_run_matches_per_message(
+        msgs in arb_trace(16),
+        floats in arb_float_trace(16),
+        cuts in arb_cuts(),
+    ) {
         let native = feed_runs(GroupedAggregate::new(|v: &i64| v % 3, CountAgg), &msgs, &cuts);
         let baseline = feed_runs(
             ElementWise(GroupedAggregate::new(|v: &i64| v % 3, CountAgg)),
@@ -204,6 +234,12 @@ proptest! {
             &cuts,
         );
         prop_assert_eq!(native, baseline);
+        let sum = || {
+            let key = |v: &f64| (*v as i64) % 3;
+            GroupedAggregate::with_strategy(key, SumAgg(|v: &f64| *v), AggStrategy::Tree)
+        };
+        let native = feed_runs(sum(), &floats, &cuts);
+        prop_assert_eq!(native, feed_runs(ElementWise(sum()), &floats, &cuts));
     }
 
     #[test]

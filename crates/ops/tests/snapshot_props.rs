@@ -2,7 +2,7 @@
 //! relational counterpart on random temporal bags, and upholds the
 //! watermark contract.
 
-use pipes_ops::aggregate::{CountAgg, MaxAgg, ScalarAggregate, SumAgg};
+use pipes_ops::aggregate::{AggStrategy, CountAgg, ExactSum, MaxAgg, ScalarAggregate, SumAgg};
 use pipes_ops::drive::{
     check_watermark_contract, run_binary, run_binary_messages, run_nary, run_unary,
     run_unary_messages,
@@ -14,11 +14,14 @@ use pipes_ops::{
 use pipes_time::{snapshot, Duration, Element, TimeInterval, Timestamp};
 use proptest::prelude::*;
 
-/// A random temporal bag: small payload domain (to force collisions),
-/// bounded time domain (to force overlap).
-fn arb_bag(max_len: usize) -> impl Strategy<Value = Vec<Element<i64>>> {
+/// A random temporal bag of `payload` values over a bounded time domain
+/// (to force overlap).
+fn arb_bag_of<P: Clone + std::fmt::Debug>(
+    payload: impl Strategy<Value = P>,
+    max_len: usize,
+) -> impl Strategy<Value = Vec<Element<P>>> {
     prop::collection::vec(
-        (0i64..6, 0u64..60, 1u64..25).prop_map(|(p, s, len)| {
+        (payload, 0u64..60, 1u64..25).prop_map(|(p, s, len)| {
             Element::new(
                 p,
                 TimeInterval::new(Timestamp::new(s), Timestamp::new(s + len)),
@@ -26,6 +29,30 @@ fn arb_bag(max_len: usize) -> impl Strategy<Value = Vec<Element<i64>>> {
         }),
         0..max_len,
     )
+}
+
+/// A random temporal bag with a small payload domain (to force
+/// collisions).
+fn arb_bag(max_len: usize) -> impl Strategy<Value = Vec<Element<i64>>> {
+    arb_bag_of(0i64..6, max_len)
+}
+
+/// A random temporal bag of non-integer floats: sums of these round
+/// differently under different fold orders unless summed exactly.
+fn arb_float_bag(max_len: usize) -> impl Strategy<Value = Vec<Element<f64>>> {
+    arb_bag_of(0.0f64..90.0, max_len)
+}
+
+/// The exact sum of a snapshot, as bits (floats are not `Ord`).
+fn exact_sum_bits(snap: &[f64]) -> u64 {
+    let mut s = ExactSum::new();
+    snap.iter().for_each(|&x| s.add(x));
+    s.value().to_bits()
+}
+
+/// A float bag as bits, for the snapshot check's `Ord` bound.
+fn as_bits(bag: Vec<Element<f64>>) -> Vec<Element<u64>> {
+    bag.into_iter().map(|e| e.map(f64::to_bits)).collect()
 }
 
 /// Raw event streams (instantaneous elements) for window operators.
@@ -130,17 +157,23 @@ proptest! {
     }
 
     #[test]
-    fn sum_aggregate_snapshot_equivalent(input in arb_bag(20)) {
-        // Integer payloads keep float sums exact.
-        let out = run_unary(
-            ScalarAggregate::new(SumAgg(|v: &i64| *v as f64)),
-            input.clone(),
-        );
-        let as_int: Vec<Element<i64>> = out.into_iter().map(|e| e.map(|f| f as i64)).collect();
-        snapshot::check_unary(&input, &as_int, |s| {
-            snapshot::rel::aggregate(s, |v| v.iter().sum::<i64>())
-        })
-        .map_err(TestCaseError::fail)?;
+    fn sum_aggregate_snapshot_equivalent(ints in arb_bag(20), floats in arb_float_bag(24)) {
+        // Every instant's output is the correctly rounded sum of its
+        // snapshot, bit for bit, in either partial-state layout.
+        let ints: Vec<Element<f64>> = ints.into_iter().map(|e| e.map(|v| v as f64)).collect();
+        for input in [ints, floats] {
+            for strategy in [AggStrategy::Auto, AggStrategy::Tree] {
+                let out = run_unary(
+                    ScalarAggregate::with_strategy(SumAgg(|v: &f64| *v), strategy),
+                    input.clone(),
+                );
+                snapshot::check_unary(&as_bits(input.clone()), &as_bits(out), |s| {
+                    let floats: Vec<f64> = s.into_iter().map(f64::from_bits).collect();
+                    snapshot::rel::aggregate(floats, exact_sum_bits)
+                })
+                .map_err(TestCaseError::fail)?;
+            }
+        }
     }
 
     #[test]

@@ -5,12 +5,13 @@ use crate::expr::{BinOp, BoundExpr, Expr};
 use crate::plan::{AggFunc, LogicalPlan, WindowSpec};
 use crate::value::{Schema, Tuple, Value};
 use pipes_graph::{QueryGraph, StreamHandle};
-use pipes_ops::aggregate::AggregateFn;
+use pipes_ops::aggregate::{AggregateFn, ExactSum};
 use pipes_ops::{
     Coalesce, CountWindow, Difference, Distinct, Filter, Granularity, GroupedAggregate, Map,
     NowWindow, PartitionedCountWindow, RippleJoin, ScalarAggregate, TimeWindow, Union,
 };
 use pipes_rel::RelationLookup;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Computes the output schema of a logical plan.
@@ -100,23 +101,53 @@ pub fn output_schema(plan: &LogicalPlan, catalog: &Catalog) -> Result<Schema, St
 // Tuple aggregation
 // ---------------------------------------------------------------------------
 
-/// Accumulator of one aggregate call.
+/// Accumulator of one aggregate call. SUM, AVG, MIN and MAX skip NULL
+/// (and non-numeric, for SUM and AVG) arguments, as SQL does; over no
+/// remaining argument they yield NULL.
 #[derive(Clone, Debug)]
 pub enum AggAcc {
     /// Running row count.
     Count(u64),
-    /// Running sum.
-    Sum(f64),
-    /// Running sum and count.
-    Avg(f64, u64),
-    /// Running minimum.
+    /// Exact running sum and count of the summed arguments.
+    Sum(ExactSum, u64),
+    /// Exact running sum and count of the averaged arguments.
+    Avg(ExactSum, u64),
+    /// Running minimum; NULL until a non-NULL argument arrives.
     Min(Value),
-    /// Running maximum.
+    /// Running maximum; NULL until a non-NULL argument arrives.
     Max(Value),
+}
+
+/// Orders non-NULL values for MIN and MAX: by SQL comparison, with its
+/// ties (`Int(2)` vs `Float(2.0)`) and incomparable pairs broken by
+/// `Value`'s total order. This is a total order, so the extreme of a bag
+/// does not depend on the order or grouping in which it was folded.
+fn extreme_cmp(a: &Value, b: &Value) -> Ordering {
+    match a.sql_cmp(b) {
+        Some(o) if o.is_ne() => o,
+        _ => a.cmp(b),
+    }
+}
+
+/// Folds `x` into the running extreme `m`, keeping the value that orders
+/// `want` (`Less` for MIN, `Greater` for MAX) and skipping NULL.
+fn fold_extreme(m: &mut Value, x: Value, want: Ordering) {
+    let replace = match (&*m, &x) {
+        (_, Value::Null) => false,
+        (Value::Null, _) => true,
+        (m, x) => extreme_cmp(x, m) == want,
+    };
+    if replace {
+        *m = x;
+    }
 }
 
 /// The combined aggregate over tuples: evaluates each call's argument and
 /// folds all accumulators side by side; output is one value per call.
+///
+/// Combinable: counts add, exact sums merge and extremes are picked by a
+/// total order, so the partial-aggregate tree emits exactly what the
+/// naive fold does.
 pub struct TupleAggs {
     specs: Vec<(AggFunc, Option<BoundExpr>)>,
 }
@@ -135,40 +166,33 @@ impl AggregateFn<Tuple> for TupleAggs {
     type Out = Tuple;
 
     fn init(&self, v: &Tuple) -> Vec<AggAcc> {
-        self.specs
+        let mut acc = self
+            .specs
             .iter()
-            .enumerate()
-            .map(|(i, (f, _))| match f {
-                AggFunc::Count => AggAcc::Count(1),
-                AggFunc::Sum => AggAcc::Sum(self.value(i, v).as_f64().unwrap_or(0.0)),
-                AggFunc::Avg => AggAcc::Avg(self.value(i, v).as_f64().unwrap_or(0.0), 1),
-                AggFunc::Min => AggAcc::Min(self.value(i, v)),
-                AggFunc::Max => AggAcc::Max(self.value(i, v)),
+            .map(|(f, _)| match f {
+                AggFunc::Count => AggAcc::Count(0),
+                AggFunc::Sum => AggAcc::Sum(ExactSum::new(), 0),
+                AggFunc::Avg => AggAcc::Avg(ExactSum::new(), 0),
+                AggFunc::Min => AggAcc::Min(Value::Null),
+                AggFunc::Max => AggAcc::Max(Value::Null),
             })
-            .collect()
+            .collect();
+        self.add(&mut acc, v);
+        acc
     }
 
     fn add(&self, acc: &mut Vec<AggAcc>, v: &Tuple) {
         for (i, a) in acc.iter_mut().enumerate() {
             match a {
                 AggAcc::Count(c) => *c += 1,
-                AggAcc::Sum(s) => *s += self.value(i, v).as_f64().unwrap_or(0.0),
-                AggAcc::Avg(s, c) => {
-                    *s += self.value(i, v).as_f64().unwrap_or(0.0);
-                    *c += 1;
-                }
-                AggAcc::Min(m) => {
-                    let x = self.value(i, v);
-                    if x.sql_cmp(m).is_some_and(|o| o.is_lt()) {
-                        *m = x;
+                AggAcc::Sum(s, n) | AggAcc::Avg(s, n) => {
+                    if let Some(x) = self.value(i, v).as_f64() {
+                        s.add(x);
+                        *n += 1;
                     }
                 }
-                AggAcc::Max(m) => {
-                    let x = self.value(i, v);
-                    if x.sql_cmp(m).is_some_and(|o| o.is_gt()) {
-                        *m = x;
-                    }
-                }
+                AggAcc::Min(m) => fold_extreme(m, self.value(i, v), Ordering::Less),
+                AggAcc::Max(m) => fold_extreme(m, self.value(i, v), Ordering::Greater),
             }
         }
     }
@@ -177,11 +201,33 @@ impl AggregateFn<Tuple> for TupleAggs {
         acc.iter()
             .map(|a| match a {
                 AggAcc::Count(c) => Value::Int(*c as i64),
-                AggAcc::Sum(s) => Value::Float(*s),
-                AggAcc::Avg(s, c) => Value::Float(*s / *c as f64),
+                AggAcc::Sum(_, 0) | AggAcc::Avg(_, 0) => Value::Null,
+                AggAcc::Sum(s, _) => Value::Float(s.value()),
+                AggAcc::Avg(s, n) => Value::Float(s.value() / *n as f64),
                 AggAcc::Min(v) | AggAcc::Max(v) => v.clone(),
             })
             .collect()
+    }
+
+    fn combinable(&self) -> bool {
+        true
+    }
+
+    fn combine(&self, a: &Vec<AggAcc>, b: &Vec<AggAcc>) -> Vec<AggAcc> {
+        let mut acc = a.clone();
+        for pair in acc.iter_mut().zip(b) {
+            match pair {
+                (AggAcc::Count(x), AggAcc::Count(y)) => *x += y,
+                (AggAcc::Sum(s, n), AggAcc::Sum(t, m)) | (AggAcc::Avg(s, n), AggAcc::Avg(t, m)) => {
+                    s.merge(t);
+                    *n += m;
+                }
+                (AggAcc::Min(x), AggAcc::Min(y)) => fold_extreme(x, y.clone(), Ordering::Less),
+                (AggAcc::Max(x), AggAcc::Max(y)) => fold_extreme(x, y.clone(), Ordering::Greater),
+                _ => unreachable!("accumulators of one TupleAggs line up call by call"),
+            }
+        }
+        acc
     }
 }
 
@@ -714,6 +760,114 @@ mod tests {
             .unwrap();
         assert_eq!(g0[1], Value::Int(4));
         assert_eq!(g0[2], Value::Int(9));
+    }
+
+    /// One TupleAggs call per function, each over column `v`.
+    fn tuple_aggs(funcs: &[AggFunc]) -> TupleAggs {
+        let schema = Schema::of(&["v"]);
+        TupleAggs {
+            specs: funcs
+                .iter()
+                .map(|&f| (f, Some(Expr::col("v").bind(&schema).unwrap())))
+                .collect(),
+        }
+    }
+
+    /// Folds `vals` (one non-empty run) with `init` + `add`.
+    fn fold(aggs: &TupleAggs, vals: &[Value]) -> Vec<AggAcc> {
+        let mut acc = aggs.init(&vec![vals[0].clone()]);
+        for v in &vals[1..] {
+            aggs.add(&mut acc, &vec![v.clone()]);
+        }
+        acc
+    }
+
+    /// Every way of producing the aggregate of `vals` — folding in either
+    /// order, and combining the two halves in either order — must agree.
+    fn aggregate_all_ways(funcs: &[AggFunc], vals: &[Value]) -> Tuple {
+        let aggs = tuple_aggs(funcs);
+        let forward = aggs.finalize(&fold(&aggs, vals));
+        let rev: Vec<Value> = vals.iter().rev().cloned().collect();
+        assert_eq!(forward, aggs.finalize(&fold(&aggs, &rev)), "{vals:?}");
+        for cut in 1..vals.len() {
+            let (a, b) = (fold(&aggs, &vals[..cut]), fold(&aggs, &vals[cut..]));
+            assert_eq!(forward, aggs.finalize(&aggs.combine(&a, &b)), "{vals:?}");
+            assert_eq!(forward, aggs.finalize(&aggs.combine(&b, &a)), "{vals:?}");
+        }
+        forward
+    }
+
+    #[test]
+    fn min_max_skip_nulls_and_break_ties_by_type() {
+        let mm = [AggFunc::Min, AggFunc::Max];
+        let (null, five) = (Value::Null, Value::Int(5));
+        let expect = vec![five.clone(), five.clone()];
+        assert_eq!(
+            aggregate_all_ways(&mm, &[null.clone(), five.clone()]),
+            expect
+        );
+        assert_eq!(
+            aggregate_all_ways(&mm, &[five.clone(), null.clone()]),
+            expect
+        );
+        assert_eq!(
+            aggregate_all_ways(&mm, &[null.clone(), null.clone()]),
+            vec![Value::Null, Value::Null]
+        );
+        // Int(2) and Float(2.0) are SQL-equal; Value's order breaks the tie
+        // (Int before Float) whichever arrives first.
+        let (i2, f2) = (Value::Int(2), Value::Float(2.0));
+        let out = aggregate_all_ways(&mm, &[f2.clone(), i2.clone(), Value::Int(3), null]);
+        assert_eq!(out, vec![i2, Value::Int(3)]);
+        assert_eq!(
+            aggregate_all_ways(&mm, &[Value::Int(2), Value::Float(2.0)])[1],
+            f2
+        );
+    }
+
+    #[test]
+    fn sum_avg_skip_nulls() {
+        let sa = [AggFunc::Sum, AggFunc::Avg, AggFunc::Count];
+        let out = aggregate_all_ways(&sa, &[Value::Null, Value::Int(1), Value::Float(2.0)]);
+        assert_eq!(
+            out,
+            vec![Value::Float(3.0), Value::Float(1.5), Value::Int(3)]
+        );
+        // All-NULL input: SUM and AVG are NULL, COUNT(*) still counts rows.
+        let out = aggregate_all_ways(&sa, &[Value::Null, Value::Null]);
+        assert_eq!(out, vec![Value::Null, Value::Null, Value::Int(2)]);
+        // Exact float sum: 0.1 ten times is 1.0, in any grouping.
+        let tenths = vec![Value::Float(0.1); 10];
+        let out = aggregate_all_ways(&sa, &tenths);
+        assert_eq!(
+            out,
+            vec![Value::Float(1.0), Value::Float(0.1), Value::Int(10)]
+        );
+    }
+
+    #[test]
+    fn aggregate_over_empty_window_emits_no_row() {
+        // An empty input has no snapshot with rows, so no aggregate row
+        // (and in particular no zero SUM) is produced.
+        let mut cat = Catalog::new();
+        cat.add_stream(
+            "none",
+            Schema::of(&["v"]),
+            1.0,
+            Box::new(|| Box::new(VecSource::<Tuple>::new(Vec::new()))),
+        );
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(windowed_stream("none", 10)),
+            group_by: vec![],
+            aggs: vec![(
+                AggSpec {
+                    func: AggFunc::Sum,
+                    arg: Expr::col("v"),
+                },
+                "s".into(),
+            )],
+        };
+        assert!(run(&plan, &cat).is_empty());
     }
 
     #[test]

@@ -103,6 +103,20 @@ cargo run -q --release -p pipes-bench --bin experiments -- e20 --quick >/dev/nul
 echo "==> E21 keyed-parallelism smoke run (quick)"
 cargo run -q --release -p pipes-bench --bin experiments -- e21 --quick >/dev/null
 
+# CQL-to-sink correctness smoke run: one short perfbench run per workload.
+# Every sink's output is checked against a run_to_completion reference,
+# and the last line reports the verdict. This gates on correctness only;
+# the timings of a one-second run are not checked.
+for workload in windowed live_install; do
+    echo "==> perfbench $workload correctness smoke run"
+    verdict=$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+    if ! grep -q '"correct": true' <<<"$verdict"; then
+        echo "perfbench $workload: sink output incorrect: $verdict"
+        exit 1
+    fi
+done
+
 # Model-checked concurrency suite: compile the kernel against the
 # instrumented loom-shim primitives and exhaustively explore interleavings
 # of the data-path/scheduler invariants (see DESIGN.md § "Concurrency

@@ -5,6 +5,7 @@ use pipes::nexmark::{self, generator::NexmarkConfig};
 use pipes::prelude::*;
 use pipes::traffic::{self, generator::FspConfig};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn nexmark_catalog() -> Catalog {
     let mut cat = Catalog::new();
@@ -109,6 +110,71 @@ fn cql_results_match_naive_snapshot_semantics() {
         pipes::time::snapshot::rel::aggregate(snap, |v| v.len() as i64)
     })
     .unwrap();
+}
+
+#[test]
+fn cql_aggregates_on_the_tree_match_across_executors() {
+    // Windows wide enough that an insert covers more than
+    // TREE_CONVERT_WIDTH partials, so the aggregates run on the
+    // partial-aggregate tree. Each executor cuts the input into different
+    // runs; the output must not depend on where the cuts fall. Five events
+    // share each tick, as FSP readings do, so a run cut decides which of
+    // them the aggregate folds into one accumulator.
+    let data: Vec<Element<Tuple>> = (0..3000i64)
+        .map(|i| {
+            let x = ((i + 1) as f64 * 0.618_033_988_749_894_9).fract() * 90.0;
+            Element::at(
+                vec![
+                    Value::Int(i % 3),
+                    Value::Int((i * 7919) % 1000),
+                    Value::Float(x),
+                ],
+                Timestamp::new(i as u64 / 5),
+            )
+        })
+        .collect();
+    let mut cat = Catalog::new();
+    cat.add_stream(
+        "s",
+        Schema::of(&["k", "v", "x"]),
+        10.0,
+        Box::new(move || Box::new(VecSource::new(data.clone()))),
+    );
+    let queries = [
+        // NEXMark q3's shape: the highest value over a window, periodically.
+        "SELECT MAX(v) AS highest FROM s [RANGE 400 TICKS] EVERY 100 TICKS",
+        // FSP q1's shape: a filtered average of non-integer floats.
+        "SELECT AVG(x) AS avg_x FROM s [RANGE 600 TICKS] WHERE k = 1 EVERY 50 TICKS",
+        // A grouped count and average.
+        "SELECT k, COUNT(*) AS n, AVG(x) AS a FROM s [RANGE 300 TICKS] GROUP BY k",
+    ];
+    let run = |cql: &str, execute: &dyn Fn(&Arc<QueryGraph>)| -> Vec<Element<Tuple>> {
+        let graph = Arc::new(QueryGraph::new());
+        let plan = compile_cql(cql, &cat).unwrap();
+        let report = Optimizer::new().install(&plan, &graph, &cat).unwrap();
+        let (sink, out) = CollectSink::new();
+        graph.add_sink("out", sink, &report.handle);
+        execute(&graph);
+        let res = out.lock().clone();
+        res
+    };
+    for cql in queries {
+        let reference = run(cql, &|g| {
+            g.run_to_completion(64);
+        });
+        assert!(!reference.is_empty(), "{cql}");
+        for threads in [1, 2] {
+            for batch in [1, 64] {
+                let produced = run(cql, &|g| {
+                    WorkStealingExecutor::new(threads)
+                        .with_batch_limit(batch)
+                        .run(g, || Box::new(FifoStrategy));
+                });
+                pipes::time::snapshot::check_unary(&reference, &produced, |s| s)
+                    .unwrap_or_else(|e| panic!("{cql} at {threads} threads, batch {batch}: {e}"));
+            }
+        }
+    }
 }
 
 #[test]
